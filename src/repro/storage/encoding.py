@@ -68,18 +68,40 @@ class EncodingError(ReproError):
 # Bit-level I/O
 # ---------------------------------------------------------------------------
 
+_FLUSH_BITS = 4096
+"""Pending bits at which :class:`BitWriter` moves whole bytes out."""
+
+_WINDOW_BYTES = 512
+"""Bytes of the buffer :class:`BitReader` holds as one integer."""
+
+
 class BitWriter:
-    """Accumulates bits MSB-first and renders zero-padded bytes."""
+    """Accumulates bits MSB-first and renders zero-padded bytes.
+
+    Fields are shifted into a small pending integer.  Once it holds
+    ``_FLUSH_BITS`` or more, its whole bytes move to a ``bytearray`` and
+    only the 0-7 leftover bits stay pending, so every ``write`` shifts
+    an integer of bounded size and encoding costs time linear in the
+    stream (one ever-growing integer would make it quadratic).
+    """
 
     def __init__(self) -> None:
-        self._value = 0
-        self._bits = 0
+        self._buffer = bytearray()
+        self._pending = 0
+        self._pending_bits = 0
 
     def write(self, value: int, width: int) -> None:
         if width < 0 or value < 0 or value.bit_length() > width:
             raise ValueError(f"{value} does not fit in {width} bits")
-        self._value = (self._value << width) | value
-        self._bits += width
+        self._pending = (self._pending << width) | value
+        self._pending_bits += width
+        if self._pending_bits >= _FLUSH_BITS:
+            spare = self._pending_bits & 7
+            self._buffer += (self._pending >> spare).to_bytes(
+                self._pending_bits >> 3, "big"
+            )
+            self._pending &= (1 << spare) - 1
+            self._pending_bits = spare
 
     def write_bitstring(self, code: BitString) -> None:
         self.write(code.value, len(code))
@@ -89,29 +111,34 @@ class BitWriter:
             self.write_bitstring(BitString.from_str(text))
 
     def bit_length(self) -> int:
-        return self._bits
+        return len(self._buffer) * 8 + self._pending_bits
 
     def to_bytes(self) -> bytes:
-        padding = (-self._bits) % 8
-        total = self._bits + padding
-        if total == 0:
-            return b""
-        return (self._value << padding).to_bytes(total // 8, "big")
+        padding = (-self._pending_bits) % 8
+        tail = (self._pending << padding).to_bytes(
+            (self._pending_bits + padding) // 8, "big"
+        )
+        return b"".join((self._buffer, tail))
 
 
 class BitReader:
     """Reads MSB-first bits from bytes.
 
-    The whole buffer is converted to one big integer up front, so each
-    ``read`` is a shift and a mask instead of a per-bit loop — the
-    decoding mirror of :class:`BitWriter`'s packed accumulator, and the
-    hot path of WAL frame and checkpoint-bundle label decoding.
+    Reads go through a window: up to ``_WINDOW_BYTES`` bytes of the
+    buffer, starting at the byte that holds the read position, held as
+    one integer and reloaded when a read runs past its end.  A read
+    wider than the window loads exactly the bytes it needs.  Every
+    ``read`` is then a shift and a mask of a bounded integer, and
+    decoding costs time linear in the stream — the hot path of WAL
+    frame and checkpoint-bundle label decoding.
     """
 
     def __init__(self, data: bytes) -> None:
-        self._total_bits = len(data) * 8
-        self._packed = int.from_bytes(data, "big") if data else 0
+        self._data = bytes(data)  # no copy for bytes; snapshots a bytearray
+        self._total_bits = len(self._data) * 8
         self._position = 0
+        self._window = 0
+        self._window_end = 0  # stream bit offset just past the window
 
     @property
     def position(self) -> int:
@@ -130,8 +157,14 @@ class BitReader:
                 f"{position}, have {self._total_bits - position}"
             )
         end = position + width
+        if end > self._window_end:
+            first = position >> 3
+            last = max(first + _WINDOW_BYTES, (end + 7) >> 3)
+            last = min(last, len(self._data))
+            self._window = int.from_bytes(self._data[first:last], "big")
+            self._window_end = last * 8
         self._position = end
-        return (self._packed >> (self._total_bits - end)) & ((1 << width) - 1)
+        return (self._window >> (self._window_end - end)) & ((1 << width) - 1)
 
     def read_bitstring(self, width: int) -> BitString:
         return BitString(self.read(width), width)
@@ -246,15 +279,16 @@ def encode_ordpath_component(writer: BitWriter, value: int) -> None:
 
 def decode_ordpath_component(reader: BitReader) -> int:
     prefix = ""
-    by_prefix = {li: (low, oi) for low, _, li, oi in ORDPATH_BUCKETS}
-    longest = max(len(li) for li in by_prefix)
-    while len(prefix) <= longest:
+    while len(prefix) <= _ORDPATH_LONGEST_LI:
         prefix += str(reader.read(1))
-        if prefix in by_prefix:
-            low, oi = by_prefix[prefix]
+        if prefix in _ORDPATH_BY_PREFIX:
+            low, oi = _ORDPATH_BY_PREFIX[prefix]
             return low + reader.read(oi)
     raise EncodingError(f"unknown OrdPath Li prefix {prefix!r}")
 
+
+_ORDPATH_BY_PREFIX = {li: (low, oi) for low, _, li, oi in ORDPATH_BUCKETS}
+_ORDPATH_LONGEST_LI = max(len(li) for li in _ORDPATH_BY_PREFIX)
 
 _QED_SYMBOLS = {"1": 0b01, "2": 0b10, "3": 0b11}
 _QED_REVERSE = {v: k for k, v in _QED_SYMBOLS.items()}

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitstring import BitString
+from repro.datasets import build_hamlet
 from repro.errors import InvalidCodeError
 from repro.labeling import make_scheme, scheme_names
 from repro.storage.encoding import (
@@ -21,8 +26,12 @@ from repro.storage.encoding import (
     encode_utf8_varint,
     make_label_codec,
 )
+from repro.storage.labelfile import FORMAT_VERSION, load_labeled, save_labeled
+from repro.updates import UpdateEngine
+from repro.xmltree import Node
 
-from tests.conftest import make_small_document
+from tests.conftest import ALL_SCHEME_NAMES, make_small_document
+from tests.storage.bitio_ref import oracle_codec
 
 
 class TestBitIO:
@@ -68,6 +77,33 @@ class TestBitIO:
         reader = BitReader(writer.to_bytes())
         for value, width in fields:
             assert reader.read(width) == value
+
+    def test_cost_is_linear_in_stream_length(self):
+        """An 8x longer stream costs well under 20x (quadratic: ~64x).
+
+        Only the ratio of two timings on the same machine is checked,
+        so the guard holds on slow and fast hosts alike.
+        """
+        rng = random.Random(5)
+        widths = [rng.randint(1, 40) for _ in range(3_000)]
+        base = [(rng.getrandbits(width), width) for width in widths]
+        ratio = _best_codec_seconds(base * 8) / _best_codec_seconds(base)
+        assert ratio < 20, f"8x stream took {ratio:.1f}x as long"
+
+
+def _best_codec_seconds(fields: list[tuple[int, int]]) -> float:
+    """Minimum of 3 timings of writing ``fields`` and reading them back."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        writer = BitWriter()
+        for value, width in fields:
+            writer.write(value, width)
+        reader = BitReader(writer.to_bytes())
+        for _, width in fields:
+            reader.read(width)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 class TestUtf8Varint:
@@ -214,3 +250,70 @@ class TestLabelStreams:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):
             make_label_codec(object())
+
+
+@pytest.fixture(scope="module")
+def churned_vcdbs():
+    """Hamlet on V-CDBS after skewed inserts past the analytical field.
+
+    Thirty inserts into one gap mint codes longer than the bulk
+    length field describes, so the stream takes the 16-bit escape.
+    """
+    document = build_hamlet()
+    scheme = make_scheme("V-CDBS-Containment")
+    labeled = scheme.label_document(document)
+    engine = UpdateEngine(labeled, with_storage=False)
+    target = document.root.children[1]
+    inserted = [Node.element("x") for _ in range(30)]
+    for node in inserted:
+        engine.insert_child(target, node, 1)
+    escape = (1 << scheme.codec.field_bits) - 1
+    longest = max(len(labeled.label_of(node).end) for node in inserted)
+    assert longest - 1 >= escape
+    return labeled, inserted
+
+
+class TestOracleFormat:
+    """The buffered bit I/O writes and reads the oracle's exact bytes."""
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEME_NAMES)
+    def test_hamlet_stream_matches_oracle(self, hamlet, scheme_name):
+        scheme = make_scheme(scheme_name)
+        labeled = scheme.label_document(hamlet)
+        with oracle_codec():
+            expected = encode_labels(labeled)
+        assert encode_labels(labeled) == expected
+        original = [labeled.label_of(n) for n in labeled.nodes_in_order]
+        decoded = decode_labels(scheme, expected)
+        assert len(decoded) == len(original)
+        assert _labels_equal(scheme, original, decoded)
+
+    def test_churned_stream_and_wal_payload_match_oracle(self, churned_vcdbs):
+        labeled, inserted = churned_vcdbs
+        scheme = labeled.scheme
+        delta = [labeled.label_of(node) for node in inserted]
+        with oracle_codec():
+            expected = encode_labels(labeled)
+            # A WAL frame's label payload goes through the same codec.
+            expected_delta = make_label_codec(scheme).encode(delta)
+        assert encode_labels(labeled) == expected
+        assert make_label_codec(scheme).encode(delta) == expected_delta
+        original = [labeled.label_of(n) for n in labeled.nodes_in_order]
+        decoded = decode_labels(scheme, expected)
+        assert _labels_equal(scheme, original, decoded)
+
+    def test_oracle_written_bundle_loads(self, churned_vcdbs, tmp_path):
+        """A checkpoint written by the original codec still recovers."""
+        labeled, _ = churned_vcdbs
+        with oracle_codec():
+            save_labeled(labeled, tmp_path / "old.rpro")
+        save_labeled(labeled, tmp_path / "new.rpro")
+        assert FORMAT_VERSION == 2
+        assert (tmp_path / "old.rpro").read_bytes() == (
+            tmp_path / "new.rpro"
+        ).read_bytes()
+        loaded = load_labeled(tmp_path / "old.rpro")
+        original = [labeled.label_of(n) for n in labeled.nodes_in_order]
+        reloaded = [loaded.label_of(n) for n in loaded.nodes_in_order]
+        assert len(reloaded) == len(original)
+        assert _labels_equal(labeled.scheme, original, reloaded)
